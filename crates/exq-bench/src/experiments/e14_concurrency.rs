@@ -2,7 +2,7 @@
 //!
 //! Not a paper figure (the paper's testbed is one client, one server), but
 //! the question the transport layer exists to answer: with the server
-//! behind a real TCP accept loop and a worker pool, how does aggregate
+//! behind a real TCP event loop and a worker pool, how does aggregate
 //! query throughput scale with the number of concurrent clients? Read-only
 //! queries share the server's read lock, so throughput should rise with
 //! client count until the worker pool or the structural-join CPU saturates.
@@ -11,7 +11,8 @@ use crate::report::{fmt_bytes, Table};
 use crate::ExpConfig;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
-use exq_core::transport::{serve, ServeConfig, TcpTransport};
+use exq_core::transport::{ServeConfig, TcpTransport};
+use exq_core::{serve_event, TenantRegistry, DEFAULT_DB};
 use exq_workload::hospital;
 use std::net::TcpListener;
 use std::sync::{Arc, RwLock};
@@ -36,12 +37,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         .expect("outsource");
     let (client, server) = hosted.split();
     let client = Arc::new(client);
-    let shared = Arc::new(RwLock::new(server));
+    let registry = TenantRegistry::single(DEFAULT_DB, Arc::new(RwLock::new(server)))
+        .expect("default db id is valid");
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let handle = serve(
+    let handle = serve_event(
         listener,
-        Arc::clone(&shared),
+        Arc::new(registry),
         ServeConfig {
             workers: 8,
             // Throughput of real recomputation: repeat trials must not

@@ -2,7 +2,7 @@
 //! profile/registry reconciliation, and serving-mode equivalence.
 //!
 //! Not a paper figure: PR 9 threads a per-query [`exq_core::telemetry::QueryProfile`] through
-//! both serve paths, wires the paged store's pool/WAL/checkpoint events
+//! the serve path, wires the paged store's pool/WAL/checkpoint events
 //! into the registry, and keeps an always-on flight recorder — and all of
 //! it is only admissible if it is invisible. Three closed-loop checks:
 //!
@@ -33,16 +33,14 @@
 
 use crate::report::Table;
 use crate::ExpConfig;
-use exq_core::codec::{Message, PROTOCOL_VERSION};
+use exq_core::codec::Message;
 use exq_core::scheme::SchemeKind;
 use exq_core::store::{PagedDb, StoreOptions};
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{
-    serve_multi, Pipeline, ServeConfig, ServeHandle, TcpTransport, Transport,
-};
-use exq_core::Client;
+use exq_core::transport::{Pipeline, ServeConfig, ServeHandle, TcpTransport, Transport};
+use exq_core::{serve_event, Client};
 use exq_workload::hospital;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -205,7 +203,7 @@ fn canonical_bytes(msg: &Message) -> Vec<u8> {
         resp.process_time = Duration::ZERO;
         resp.spans.clear();
     }
-    m.encode_frame_req(PROTOCOL_VERSION, 0, 0)
+    m.encode_frame()
 }
 
 /// Builds the sealed hospital database, migrates it into a paged store
@@ -258,7 +256,7 @@ fn serve_paged(
         cache_entries: Some(0),
         ..ServeConfig::default()
     };
-    let handle = serve_multi(listener, registry, config).unwrap();
+    let handle = serve_event(listener, registry, config).unwrap();
     (handle, client)
 }
 

@@ -132,7 +132,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "e20",
-            "extension: pipelined event-loop serving — 100 connections, verified answers",
+            "extension: pipelined serving on the event loop — 100 connections, verified answers",
             e20_pipeline::run,
         ),
         (

@@ -1,630 +1,632 @@
 //! The readiness-driven serve path: one event thread multiplexing every
 //! connection over `epoll`, with query execution on a worker pool.
 //!
-//! The blocking loop in [`crate::transport`] pins one worker thread per
-//! connection, so idle connections beyond `workers` starve fresh clients
-//! outright. Here the event thread owns *all* sockets:
+//! The event thread owns *all* sockets, so thousands of idle connections
+//! cost buffers, not threads:
 //!
-//! * **epoll via raw syscalls** — the private `sys` module declares the four
+//! * **epoll via raw syscalls** — the private `sys` module declares the
 //!   libc entry points (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//!   `eventfd`) directly; `std` already links libc, so no external crate
-//!   is needed, in keeping with the repo's no-external-crates rule;
+//!   `eventfd`, `listen`) directly; `std` already links libc, so no
+//!   external crate is needed, in keeping with the repo's
+//!   no-external-crates rule;
 //! * **nonblocking sockets, partial-frame state machines** — each
 //!   connection accumulates bytes in a read buffer and replies in a write
 //!   buffer; a frame is dispatched only once complete, and any number of
 //!   frames may be in flight per connection (replies echo the request id,
 //!   so the client correlates them in any order);
 //! * **compute off the event thread** — decoded requests go to worker
-//!   threads over a bounded queue; workers run the same `serve_one`
-//!   admission/fair-share/replay path as the blocking loop
-//!   and push encoded replies to a completion queue, waking the event
-//!   thread through an `eventfd`;
-//! * **stall budgets** — the mid-frame read budget and the reply write
-//!   budget from the blocking loop apply unchanged: a peer silent
-//!   mid-frame, or one that stops draining replies, is dropped after
-//!   `io_timeout` without pinning anything but its own buffers.
+//!   threads over a bounded queue; workers run `serve_one` (admission,
+//!   fair share, replay) and push encoded replies to a completion queue,
+//!   waking the event thread through an `eventfd`;
+//! * **stall budgets** — a peer silent mid-frame, or one that stops
+//!   draining replies, is dropped after `io_timeout` without a byte of
+//!   progress, pinning nothing but its own buffers; every byte that moves
+//!   restarts the budget, so a slow-but-live peer keeps its connection.
 //!
 //! `Ping` is answered inline on the event thread (a saturated worker pool
 //! must not make the server look dead), and a full dispatch queue answers
 //! `Busy` immediately — admission pressure is visible to clients, never an
 //! unbounded queue.
 //!
-//! On non-Linux targets [`serve_event`] falls back to the blocking loop —
-//! same wire behavior, different scheduling.
-
-#[cfg(target_os = "linux")]
-pub use linux::serve_event;
+//! This is the only serve path, and Linux is the only supported target.
 
 #[cfg(not(target_os = "linux"))]
-pub fn serve_event(
-    listener: std::net::TcpListener,
-    registry: std::sync::Arc<crate::tenant::TenantRegistry>,
-    config: crate::transport::ServeConfig,
-) -> std::io::Result<crate::transport::ServeHandle> {
-    crate::transport::serve_multi(listener, registry, config)
+compile_error!("exq-core serves over epoll and builds on Linux only");
+
+use crate::codec::{frame_len_for, salvage_frame_ids, DecodedFrame, Message, FRAME_HEADER_LEN};
+use crate::telemetry::{self, Counter, Gauge, Histogram};
+use crate::tenant::TenantRegistry;
+use crate::transport::{
+    accept_metrics, apply_tenant_knobs, busy_reply, serve_one, ServeConfig, ServeHandle,
+    ServeShared,
+};
+use std::collections::HashMap;
+use std::fs::File;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// Registry handles for the event loop gauges.
+struct EvMetrics {
+    /// Connections currently registered with the event loop.
+    connections: Arc<Gauge>,
+    /// `epoll_wait` returns (readiness wakeups, including timeouts).
+    wakeups: Arc<Counter>,
+    /// Requests dispatched to workers and not yet completed.
+    queue_depth: Arc<Gauge>,
+    /// Time a request spent in the dispatch queue before a worker
+    /// picked it up — the saturation signal `exq top` watches.
+    queue_wait: Arc<Histogram>,
 }
 
-#[cfg(target_os = "linux")]
-mod linux {
-    use super::sys;
-    use crate::codec::{frame_extra_len, DecodedFrame, Message, FRAME_HEADER_LEN};
-    use crate::telemetry::{self, Counter, Gauge, Histogram};
-    use crate::tenant::TenantRegistry;
-    use crate::transport::{
-        accept_metrics, apply_tenant_knobs, busy_reply, salvage_frame_ids, serve_one, ServeConfig,
-        ServeHandle, ServeShared,
-    };
-    use std::collections::HashMap;
-    use std::fs::File;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{mpsc, Arc, Mutex, OnceLock};
-    use std::thread;
-    use std::time::{Duration, Instant};
+fn ev_metrics() -> &'static EvMetrics {
+    static METRICS: OnceLock<EvMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| EvMetrics {
+        connections: telemetry::gauge("exq_evloop_connections"),
+        wakeups: telemetry::counter("exq_evloop_wakeups_total"),
+        queue_depth: telemetry::gauge("exq_evloop_queue_depth"),
+        queue_wait: telemetry::histogram("exq_evloop_queue_wait_seconds"),
+    })
+}
 
-    /// Registry handles for the event-loop gauges.
-    struct EvMetrics {
-        /// Connections currently registered with the event loop.
-        connections: Arc<Gauge>,
-        /// `epoll_wait` returns (readiness wakeups, including timeouts).
-        wakeups: Arc<Counter>,
-        /// Requests dispatched to workers and not yet completed.
-        queue_depth: Arc<Gauge>,
-        /// Time a request spent in the dispatch queue before a worker
-        /// picked it up — the saturation signal `exq top` watches.
-        queue_wait: Arc<Histogram>,
+/// epoll token of the listening socket.
+const TOKEN_LISTENER: u64 = u64::MAX;
+/// epoll token of the completion-queue eventfd.
+const TOKEN_WAKE: u64 = u64::MAX - 1;
+/// Events fetched per `epoll_wait`.
+const MAX_EVENTS: usize = 256;
+/// Read scratch size: large enough to drain a burst of pipelined
+/// frames per readiness event without repeated syscalls.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// One request handed to a worker.
+struct Job {
+    token: u64,
+    frame: DecodedFrame,
+    /// When the event loop enqueued it (queue-wait attribution).
+    enqueued: Instant,
+}
+
+/// One encoded reply on its way back to the writer.
+struct Completion {
+    token: u64,
+    bytes: Vec<u8>,
+}
+
+/// Per-connection state machine.
+struct Conn {
+    stream: TcpStream,
+    /// Bytes received but not yet framed.
+    rbuf: Vec<u8>,
+    /// Encoded replies not yet written, from `wpos`.
+    wbuf: Vec<u8>,
+    wpos: usize,
+    /// Requests dispatched to workers, replies still owed.
+    inflight: usize,
+    /// No more reads: peer EOF, framing error, or shutdown. The
+    /// connection closes once owed replies are written (or time out).
+    closing: bool,
+    /// EPOLLOUT currently registered.
+    want_write: bool,
+    /// Mid-frame stall budget: armed while a partial frame sits in
+    /// `rbuf`, cleared by progress.
+    read_deadline: Option<Instant>,
+    /// Write stall budget: armed while the socket refuses bytes we owe,
+    /// cleared by progress.
+    write_deadline: Option<Instant>,
+}
+
+impl Conn {
+    fn interest(&self) -> u32 {
+        let mut ev = sys::EPOLLIN | sys::EPOLLRDHUP;
+        if self.want_write {
+            ev |= sys::EPOLLOUT;
+        }
+        ev
     }
+}
 
-    fn ev_metrics() -> &'static EvMetrics {
-        static METRICS: OnceLock<EvMetrics> = OnceLock::new();
-        METRICS.get_or_init(|| EvMetrics {
-            connections: telemetry::gauge("exq_evloop_connections"),
-            wakeups: telemetry::counter("exq_evloop_wakeups_total"),
-            queue_depth: telemetry::gauge("exq_evloop_queue_depth"),
-            queue_wait: telemetry::histogram("exq_evloop_queue_wait_seconds"),
-        })
-    }
+/// Runs the frame protocol over `listener` against a registry of sealed
+/// databases. Each frame routes by the db id it carries (empty = the
+/// registry's default db); unknown db ids are answered with a typed tenant
+/// error, never a panic or a dropped connection. Read-style requests run
+/// concurrently under their tenant's read lock; insert/delete take its
+/// write lock. Returns immediately; the returned handle owns the event and
+/// worker threads.
+pub fn serve_event(
+    listener: TcpListener,
+    registry: Arc<TenantRegistry>,
+    config: ServeConfig,
+) -> std::io::Result<ServeHandle> {
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    tune_listen_backlog(&listener, &config);
+    apply_tenant_knobs(&registry, &config);
+    let stop = Arc::new(AtomicBool::new(false));
+    let shared = Arc::new(ServeShared {
+        registry: Arc::clone(&registry),
+        inflight: AtomicUsize::new(0),
+    });
 
-    /// epoll token of the listening socket.
-    const TOKEN_LISTENER: u64 = u64::MAX;
-    /// epoll token of the completion-queue eventfd.
-    const TOKEN_WAKE: u64 = u64::MAX - 1;
-    /// Events fetched per `epoll_wait`.
-    const MAX_EVENTS: usize = 256;
-    /// Read scratch size: large enough to drain a burst of pipelined
-    /// frames per readiness event without repeated syscalls.
-    const READ_CHUNK: usize = 64 * 1024;
+    let epoll = sys::Epoll::new()?;
+    let wake = Arc::new(sys::event_fd()?);
+    epoll.add(listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)?;
+    epoll.add(wake.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
 
-    /// One request handed to a worker.
-    struct Job {
-        token: u64,
-        frame: DecodedFrame,
-        /// When the event loop enqueued it (queue-wait attribution).
-        enqueued: Instant,
-    }
+    let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.backlog());
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
 
-    /// One encoded reply on its way back to the writer.
-    struct Completion {
-        token: u64,
-        bytes: Vec<u8>,
-    }
-
-    /// Per-connection state machine.
-    struct Conn {
-        stream: TcpStream,
-        /// Bytes received but not yet framed.
-        rbuf: Vec<u8>,
-        /// Encoded replies not yet written, from `wpos`.
-        wbuf: Vec<u8>,
-        wpos: usize,
-        /// Requests dispatched to workers, replies still owed.
-        inflight: usize,
-        /// No more reads: peer EOF, framing error, or shutdown. The
-        /// connection closes once owed replies are written (or time out).
-        closing: bool,
-        /// EPOLLOUT currently registered.
-        want_write: bool,
-        /// Mid-frame stall budget: armed while a partial frame sits in
-        /// `rbuf`, cleared by progress.
-        read_deadline: Option<Instant>,
-        /// Write stall budget: armed while the socket refuses bytes we owe,
-        /// cleared by progress.
-        write_deadline: Option<Instant>,
-    }
-
-    impl Conn {
-        fn interest(&self) -> u32 {
-            let mut ev = sys::EPOLLIN | sys::EPOLLRDHUP;
-            if self.want_write {
-                ev |= sys::EPOLLOUT;
+    let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
+    for _ in 0..config.workers.max(1) {
+        let rx = Arc::clone(&job_rx);
+        let shr = Arc::clone(&shared);
+        let cfg = config.clone();
+        let done = Arc::clone(&completions);
+        let wake = Arc::clone(&wake);
+        threads.push(thread::spawn(move || loop {
+            let job = match rx.lock() {
+                Ok(guard) => guard.recv(),
+                Err(poisoned) => poisoned.into_inner().recv(),
+            };
+            let Ok(job) = job else { return }; // event loop gone
+            ev_metrics().queue_depth.add(-1);
+            if telemetry::enabled() {
+                ev_metrics()
+                    .queue_wait
+                    .observe_duration(job.enqueued.elapsed());
             }
-            ev
-        }
+            let d = &job.frame;
+            let reply = serve_one(&shr, &cfg, d);
+            let bytes = reply.encode_frame_req(d.trace, d.req_id);
+            match done.lock() {
+                Ok(mut guard) => guard.push(Completion {
+                    token: job.token,
+                    bytes,
+                }),
+                Err(poisoned) => poisoned.into_inner().push(Completion {
+                    token: job.token,
+                    bytes,
+                }),
+            }
+            sys::wake(&wake);
+        }));
     }
 
-    /// Runs the frame protocol over `listener` with the readiness-based
-    /// event loop. Same wire behavior and admission policy as
-    /// [`crate::transport::serve_multi`]; unlike it, thousands of idle
-    /// connections cost buffers, not threads. Returns immediately; the
-    /// returned handle owns the event and worker threads.
-    pub fn serve_event(
-        listener: TcpListener,
-        registry: Arc<TenantRegistry>,
-        config: ServeConfig,
-    ) -> std::io::Result<ServeHandle> {
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        crate::transport::tune_listen_backlog(&listener, &config);
-        apply_tenant_knobs(&registry, &config);
-        let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(ServeShared {
-            registry: Arc::clone(&registry),
-            inflight: AtomicUsize::new(0),
-        });
-
-        let epoll = sys::Epoll::new()?;
-        let wake = Arc::new(sys::event_fd()?);
-        epoll.add(listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(wake.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
-
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.backlog());
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
-        for _ in 0..config.workers.max(1) {
-            let rx = Arc::clone(&job_rx);
-            let shr = Arc::clone(&shared);
-            let cfg = config.clone();
-            let done = Arc::clone(&completions);
-            let wake = Arc::clone(&wake);
-            threads.push(thread::spawn(move || loop {
-                let job = match rx.lock() {
-                    Ok(guard) => guard.recv(),
-                    Err(poisoned) => poisoned.into_inner().recv(),
-                };
-                let Ok(job) = job else { return }; // event loop gone
-                ev_metrics().queue_depth.add(-1);
-                if telemetry::enabled() {
-                    ev_metrics()
-                        .queue_wait
-                        .observe_duration(job.enqueued.elapsed());
-                }
-                let d = &job.frame;
-                let reply = serve_one(&shr, &cfg, d);
-                let bytes = reply.encode_frame_req(d.version, d.trace, d.req_id);
-                match done.lock() {
-                    Ok(mut guard) => guard.push(Completion {
-                        token: job.token,
-                        bytes,
-                    }),
-                    Err(poisoned) => poisoned.into_inner().push(Completion {
-                        token: job.token,
-                        bytes,
-                    }),
-                }
-                sys::wake(&wake);
-            }));
-        }
-
-        {
-            let stop_flag = Arc::clone(&stop);
-            threads.push(thread::spawn(move || {
-                EventLoop {
-                    epoll,
-                    listener,
-                    wake,
-                    job_tx,
-                    completions,
-                    stop: stop_flag,
-                    config,
-                    conns: HashMap::new(),
-                    next_token: 0,
-                    accept_resume: None,
-                    accept_backoff: Duration::from_millis(1),
-                    accept_error_streak: 0,
-                }
-                .run();
-            }));
-        }
-
-        Ok(ServeHandle::assemble(addr, stop, threads, registry))
+    {
+        let stop_flag = Arc::clone(&stop);
+        threads.push(thread::spawn(move || {
+            EventLoop {
+                epoll,
+                listener,
+                wake,
+                job_tx,
+                completions,
+                stop: stop_flag,
+                config,
+                conns: HashMap::new(),
+                next_token: 0,
+                accept_resume: None,
+                accept_backoff: Duration::from_millis(1),
+                accept_error_streak: 0,
+            }
+            .run();
+        }));
     }
 
-    struct EventLoop {
-        epoll: sys::Epoll,
-        listener: TcpListener,
-        wake: Arc<File>,
-        job_tx: mpsc::SyncSender<Job>,
-        completions: Arc<Mutex<Vec<Completion>>>,
-        stop: Arc<AtomicBool>,
-        config: ServeConfig,
-        conns: HashMap<u64, Conn>,
-        /// Monotonic connection tokens — never reused, so a completion for
-        /// a closed connection cannot alias a new one on the same fd.
-        next_token: u64,
-        /// While set, accepting is paused (fd exhaustion backoff); the
-        /// listener is re-armed when the instant passes.
-        accept_resume: Option<Instant>,
-        accept_backoff: Duration,
-        /// Consecutive accept failures (reset by a successful accept),
-        /// reported in flight-recorder events.
-        accept_error_streak: u64,
+    Ok(ServeHandle::assemble(addr, stop, threads, registry))
+}
+
+/// Raises the kernel accept backlog on an already-listening socket.
+///
+/// `TcpListener::bind` hardcodes a backlog of 128; a burst of ~1000
+/// simultaneous connects (E20 at scale) overflows the SYN queue and the
+/// excess either times out or sees `ECONNREFUSED` before the event loop
+/// ever accepts. POSIX allows re-calling `listen(2)` on a listening socket
+/// to grow the backlog, so that is exactly what this does — the kernel
+/// still clamps to `net.core.somaxconn`. Best-effort: a failure keeps the
+/// default backlog rather than refusing to serve.
+fn tune_listen_backlog(listener: &TcpListener, config: &ServeConfig) {
+    let want = config.backlog().max(1024).min(i32::MAX as usize) as i32;
+    if let Err(e) = sys::set_listen_backlog(listener.as_raw_fd(), want) {
+        telemetry::log(
+            telemetry::Level::Warn,
+            &format!("listen backlog {want} not applied: {e}"),
+        );
+    }
+}
+
+struct EventLoop {
+    epoll: sys::Epoll,
+    listener: TcpListener,
+    wake: Arc<File>,
+    job_tx: mpsc::SyncSender<Job>,
+    completions: Arc<Mutex<Vec<Completion>>>,
+    stop: Arc<AtomicBool>,
+    config: ServeConfig,
+    conns: HashMap<u64, Conn>,
+    /// Monotonic connection tokens — never reused, so a completion for
+    /// a closed connection cannot alias a new one on the same fd.
+    next_token: u64,
+    /// While set, accepting is paused (fd exhaustion backoff); the
+    /// listener is re-armed when the instant passes.
+    accept_resume: Option<Instant>,
+    accept_backoff: Duration,
+    /// Consecutive accept failures (reset by a successful accept),
+    /// reported in flight-recorder events.
+    accept_error_streak: u64,
+}
+
+impl EventLoop {
+    fn run(mut self) {
+        // The tick bounds deadline sweeps and shutdown latency even if
+        // no readiness event arrives.
+        let tick = self
+            .config
+            .poll_interval
+            .clamp(Duration::from_millis(10), Duration::from_millis(200));
+        let mut events = [sys::EpollEvent::empty(); MAX_EVENTS];
+        let mut scratch = vec![0u8; READ_CHUNK];
+        while let Ok(n) = self.epoll.wait(&mut events, tick) {
+            ev_metrics().wakeups.inc();
+            if self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            for ev in &events[..n] {
+                match ev.token() {
+                    TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_WAKE => sys::drain(&self.wake),
+                    token => self.conn_ready(token, ev.events(), &mut scratch),
+                }
+            }
+            self.drain_completions();
+            self.sweep(Instant::now());
+        }
+        // Shutdown: closing the sockets here unblocks nothing (workers
+        // drain via the dropped job sender) and every fd is owned, so
+        // teardown is just drops.
+        let open = self.conns.len() as i64;
+        ev_metrics().connections.add(-open);
     }
 
-    impl EventLoop {
-        fn run(mut self) {
-            // The tick bounds deadline sweeps and shutdown latency even if
-            // no readiness event arrives.
-            let tick = self
-                .config
-                .poll_interval
-                .clamp(Duration::from_millis(10), Duration::from_millis(200));
-            let mut events = [sys::EpollEvent::empty(); MAX_EVENTS];
-            let mut scratch = vec![0u8; READ_CHUNK];
-            while let Ok(n) = self.epoll.wait(&mut events, tick) {
-                ev_metrics().wakeups.inc();
-                if self.stop.load(Ordering::SeqCst) {
+    // ------------------------------------------------------- accept --
+
+    fn accept_ready(&mut self) {
+        if self.accept_resume.is_some() {
+            return; // paused: re-armed by the sweep
+        }
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    self.accept_backoff = Duration::from_millis(1);
+                    self.accept_error_streak = 0;
+                    self.register(stream);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // EMFILE and friends persist; pause the listener so
+                    // a level-triggered epoll doesn't spin on it.
+                    accept_metrics().accept_errors.inc();
+                    self.accept_error_streak += 1;
+                    crate::flight::event(
+                        crate::flight::Kind::AcceptError,
+                        "",
+                        self.accept_error_streak,
+                        0,
+                        0,
+                    );
+                    let _ = self.epoll.del(self.listener.as_raw_fd());
+                    self.accept_resume = Some(Instant::now() + self.accept_backoff);
+                    self.accept_backoff = (self.accept_backoff * 2).min(Duration::from_millis(100));
                     break;
                 }
-                for ev in &events[..n] {
-                    match ev.token() {
-                        TOKEN_LISTENER => self.accept_ready(),
-                        TOKEN_WAKE => sys::drain(&self.wake),
-                        token => self.conn_ready(token, ev.events(), &mut scratch),
-                    }
-                }
-                self.drain_completions();
-                self.sweep(Instant::now());
             }
-            // Shutdown: closing the sockets here unblocks nothing (workers
-            // drain via the dropped job sender) and every fd is owned, so
-            // teardown is just drops.
-            let open = self.conns.len() as i64;
-            ev_metrics().connections.add(-open);
         }
+    }
 
-        // ------------------------------------------------------- accept --
+    fn register(&mut self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        stream.set_nodelay(true).ok();
+        let token = self.next_token;
+        self.next_token += 1;
+        let conn = Conn {
+            stream,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            inflight: 0,
+            closing: false,
+            want_write: false,
+            read_deadline: None,
+            write_deadline: None,
+        };
+        if self
+            .epoll
+            .add(conn.stream.as_raw_fd(), conn.interest(), token)
+            .is_err()
+        {
+            return;
+        }
+        self.conns.insert(token, conn);
+        ev_metrics().connections.add(1);
+    }
 
-        fn accept_ready(&mut self) {
-            if self.accept_resume.is_some() {
-                return; // paused: re-armed by the sweep
-            }
+    // --------------------------------------------------- connections --
+
+    fn conn_ready(&mut self, token: u64, events: u32, scratch: &mut [u8]) {
+        if events & sys::EPOLLERR != 0 {
+            self.close(token);
+            return;
+        }
+        if events & sys::EPOLLOUT != 0 && !self.flush(token) {
+            self.close(token);
+            return;
+        }
+        if events & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 {
+            self.read_ready(token, scratch);
+        }
+    }
+
+    fn read_ready(&mut self, token: u64, scratch: &mut [u8]) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if !conn.closing {
             loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        self.accept_backoff = Duration::from_millis(1);
-                        self.accept_error_streak = 0;
-                        self.register(stream);
+                match conn.stream.read(scratch) {
+                    Ok(0) => {
+                        conn.closing = true;
+                        break;
+                    }
+                    Ok(n) => {
+                        conn.rbuf.extend_from_slice(&scratch[..n]);
+                        // Progress restarts the mid-frame stall budget.
+                        conn.read_deadline = None;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => {
-                        // EMFILE and friends persist; pause the listener so
-                        // a level-triggered epoll doesn't spin on it.
-                        accept_metrics().accept_errors.inc();
-                        self.accept_error_streak += 1;
-                        crate::flight::event(
-                            crate::flight::Kind::AcceptError,
-                            "",
-                            self.accept_error_streak,
-                            0,
-                            0,
-                        );
-                        let _ = self.epoll.del(self.listener.as_raw_fd());
-                        self.accept_resume = Some(Instant::now() + self.accept_backoff);
-                        self.accept_backoff =
-                            (self.accept_backoff * 2).min(Duration::from_millis(100));
-                        break;
+                        self.close(token);
+                        return;
                     }
                 }
             }
         }
-
-        fn register(&mut self, stream: TcpStream) {
-            if stream.set_nonblocking(true).is_err() {
-                return;
-            }
-            stream.set_nodelay(true).ok();
-            let token = self.next_token;
-            self.next_token += 1;
-            let conn = Conn {
-                stream,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wpos: 0,
-                inflight: 0,
-                closing: false,
-                want_write: false,
-                read_deadline: None,
-                write_deadline: None,
-            };
-            if self
-                .epoll
-                .add(conn.stream.as_raw_fd(), conn.interest(), token)
-                .is_err()
-            {
-                return;
-            }
-            self.conns.insert(token, conn);
-            ev_metrics().connections.add(1);
-        }
-
-        // --------------------------------------------------- connections --
-
-        fn conn_ready(&mut self, token: u64, events: u32, scratch: &mut [u8]) {
-            if events & sys::EPOLLERR != 0 {
+        self.process_frames(token);
+        if let Some(conn) = self.conns.get(&token) {
+            let drained = conn.closing && conn.inflight == 0 && conn.wbuf.len() == conn.wpos;
+            if drained || !self.flush(token) {
                 self.close(token);
-                return;
-            }
-            if events & sys::EPOLLOUT != 0 && !self.flush(token) {
-                self.close(token);
-                return;
-            }
-            if events & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 {
-                self.read_ready(token, scratch);
             }
         }
+    }
 
-        fn read_ready(&mut self, token: u64, scratch: &mut [u8]) {
+    /// Extracts and dispatches every complete frame in the read buffer.
+    fn process_frames(&mut self, token: u64) {
+        loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if !conn.closing {
-                loop {
-                    match conn.stream.read(scratch) {
-                        Ok(0) => {
-                            conn.closing = true;
-                            break;
-                        }
-                        Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            self.close(token);
-                            return;
-                        }
-                    }
-                }
+            if conn.closing && conn.rbuf.is_empty() {
+                return;
             }
-            self.process_frames(token);
-            if let Some(conn) = self.conns.get(&token) {
-                let drained = conn.closing && conn.inflight == 0 && conn.wbuf.len() == conn.wpos;
-                if drained || !self.flush(token) {
-                    self.close(token);
-                }
-            }
-        }
-
-        /// Extracts and dispatches every complete frame in the read buffer.
-        fn process_frames(&mut self, token: u64) {
-            loop {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                if conn.closing && conn.rbuf.is_empty() {
-                    return;
-                }
-                if conn.rbuf.len() < FRAME_HEADER_LEN {
-                    // Empty = idle (no budget); partial header = mid-frame.
-                    conn.read_deadline = if conn.rbuf.is_empty() {
-                        None
-                    } else {
-                        Some(
-                            conn.read_deadline
-                                .unwrap_or_else(|| Instant::now() + self.config.io_timeout),
-                        )
-                    };
-                    return;
-                }
-                let mut header = [0u8; FRAME_HEADER_LEN];
-                header.copy_from_slice(&conn.rbuf[..FRAME_HEADER_LEN]);
-                let (version, _, payload_len) = match Message::parse_header(&header) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        // Framing is unrecoverable: answer once, stop
-                        // reading, close when the reply drains.
-                        let bytes = error_frame(&e, crate::codec::LEGACY_PROTOCOL_VERSION, 0, 0);
-                        conn.rbuf.clear();
-                        conn.closing = true;
-                        self.queue_reply(token, bytes);
-                        return;
-                    }
-                };
-                let total = FRAME_HEADER_LEN + frame_extra_len(version) + payload_len;
-                if conn.rbuf.len() < total {
-                    conn.read_deadline = Some(
+            if conn.rbuf.len() < FRAME_HEADER_LEN {
+                // Empty = idle (no budget); partial header = mid-frame.
+                conn.read_deadline = if conn.rbuf.is_empty() {
+                    None
+                } else {
+                    Some(
                         conn.read_deadline
                             .unwrap_or_else(|| Instant::now() + self.config.io_timeout),
-                    );
+                    )
+                };
+                return;
+            }
+            let mut header = [0u8; FRAME_HEADER_LEN];
+            header.copy_from_slice(&conn.rbuf[..FRAME_HEADER_LEN]);
+            let payload_len = match Message::parse_header(&header) {
+                Ok((_, len)) => len,
+                Err(e) => {
+                    // Framing is unrecoverable: answer once, stop
+                    // reading, close when the reply drains.
+                    let bytes = error_frame(&e, 0, 0);
+                    conn.rbuf.clear();
+                    conn.closing = true;
+                    self.queue_reply(token, bytes);
                     return;
                 }
-                let reply_inline = match Message::decode_frame_ext(&conn.rbuf[..total]) {
-                    Err(e) => {
-                        let (trace, req_id) = salvage_frame_ids(&conn.rbuf[..total], version);
-                        conn.rbuf.clear();
-                        conn.closing = true;
-                        self.queue_reply(token, error_frame(&e, version, trace, req_id));
-                        return;
-                    }
-                    Ok(d) => {
-                        conn.rbuf.drain(..total);
-                        conn.read_deadline = None;
-                        if matches!(d.msg, Message::Ping) {
-                            // Liveness answers never queue behind work.
-                            Some(Message::Pong.encode_frame_req(d.version, d.trace, d.req_id))
-                        } else {
-                            match self.job_tx.try_send(Job {
-                                token,
-                                frame: d,
-                                enqueued: Instant::now(),
-                            }) {
-                                Ok(()) => {
-                                    ev_metrics().queue_depth.add(1);
-                                    conn.inflight += 1;
-                                    None
-                                }
-                                Err(mpsc::TrySendError::Full(job)) => {
-                                    // Dispatch queue saturated: shed here,
-                                    // visibly, instead of queueing without
-                                    // bound.
-                                    accept_metrics().accept_rejected.inc();
-                                    let d = job.frame;
-                                    Some(
-                                        busy_reply(d.version, self.config.retry_after)
-                                            .encode_frame_req(d.version, d.trace, d.req_id),
-                                    )
-                                }
-                                Err(mpsc::TrySendError::Disconnected(_)) => {
-                                    conn.closing = true;
-                                    None
-                                }
+            };
+            let total = frame_len_for(payload_len);
+            if conn.rbuf.len() < total {
+                conn.read_deadline = Some(
+                    conn.read_deadline
+                        .unwrap_or_else(|| Instant::now() + self.config.io_timeout),
+                );
+                return;
+            }
+            let reply_inline = match Message::decode_frame_ext(&conn.rbuf[..total]) {
+                Err(e) => {
+                    let (trace, req_id) = salvage_frame_ids(&conn.rbuf[..total]);
+                    conn.rbuf.clear();
+                    conn.closing = true;
+                    self.queue_reply(token, error_frame(&e, trace, req_id));
+                    return;
+                }
+                Ok(d) => {
+                    conn.rbuf.drain(..total);
+                    conn.read_deadline = None;
+                    if matches!(d.msg, Message::Ping) {
+                        // Liveness answers never queue behind work.
+                        Some(Message::Pong.encode_frame_req(d.trace, d.req_id))
+                    } else {
+                        match self.job_tx.try_send(Job {
+                            token,
+                            frame: d,
+                            enqueued: Instant::now(),
+                        }) {
+                            Ok(()) => {
+                                ev_metrics().queue_depth.add(1);
+                                conn.inflight += 1;
+                                None
+                            }
+                            Err(mpsc::TrySendError::Full(job)) => {
+                                // Dispatch queue saturated: shed here,
+                                // visibly, instead of queueing without
+                                // bound.
+                                accept_metrics().accept_rejected.inc();
+                                let d = job.frame;
+                                Some(
+                                    busy_reply(self.config.retry_after)
+                                        .encode_frame_req(d.trace, d.req_id),
+                                )
+                            }
+                            Err(mpsc::TrySendError::Disconnected(_)) => {
+                                conn.closing = true;
+                                None
                             }
                         }
                     }
-                };
-                if let Some(bytes) = reply_inline {
-                    self.queue_reply(token, bytes);
                 }
-            }
-        }
-
-        // -------------------------------------------------------- writes --
-
-        fn queue_reply(&mut self, token: u64, bytes: Vec<u8>) {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
             };
-            conn.wbuf.extend_from_slice(&bytes);
-            if !self.flush(token) {
-                self.close(token);
-            }
-        }
-
-        /// Writes as much of the pending buffer as the socket takes.
-        /// Returns `false` if the connection is dead.
-        fn flush(&mut self, token: u64) -> bool {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return true;
-            };
-            while conn.wpos < conn.wbuf.len() {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => return false,
-                    Ok(n) => {
-                        conn.wpos += n;
-                        conn.write_deadline = None;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        conn.write_deadline = Some(
-                            conn.write_deadline
-                                .unwrap_or_else(|| Instant::now() + self.config.io_timeout),
-                        );
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => return false,
-                }
-            }
-            if conn.wpos >= conn.wbuf.len() {
-                conn.wbuf.clear();
-                conn.wpos = 0;
-                conn.write_deadline = None;
-            }
-            let want_write = conn.wpos < conn.wbuf.len();
-            if want_write != conn.want_write {
-                conn.want_write = want_write;
-                let fd = conn.stream.as_raw_fd();
-                let interest = conn.interest();
-                if self.epoll.modify(fd, interest, token).is_err() {
-                    return false;
-                }
-            }
-            true
-        }
-
-        // --------------------------------------------------- completions --
-
-        fn drain_completions(&mut self) {
-            let done: Vec<Completion> = {
-                let mut guard = match self.completions.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                std::mem::take(&mut *guard)
-            };
-            for completion in done {
-                let Some(conn) = self.conns.get_mut(&completion.token) else {
-                    continue; // connection died while the worker ran
-                };
-                conn.inflight = conn.inflight.saturating_sub(1);
-                if conn.closing && conn.inflight == 0 && conn.wbuf.len() == conn.wpos {
-                    // Peer already gone and nothing else owed: the reply
-                    // has no reader.
-                    self.close(completion.token);
-                    continue;
-                }
-                self.queue_reply(completion.token, completion.bytes);
-            }
-        }
-
-        // -------------------------------------------------------- sweeps --
-
-        fn sweep(&mut self, now: Instant) {
-            // Re-arm a paused listener once the backoff elapsed.
-            if self.accept_resume.is_some_and(|t| now >= t) {
-                self.accept_resume = None;
-                if self
-                    .epoll
-                    .add(self.listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)
-                    .is_ok()
-                {
-                    self.accept_ready();
-                }
-            }
-            let expired: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| {
-                    c.read_deadline.is_some_and(|d| now >= d)
-                        || c.write_deadline.is_some_and(|d| now >= d)
-                        || (c.closing && c.inflight == 0 && c.wbuf.len() == c.wpos)
-                })
-                .map(|(&t, _)| t)
-                .collect();
-            for token in expired {
-                self.close(token);
-            }
-        }
-
-        fn close(&mut self, token: u64) {
-            if let Some(conn) = self.conns.remove(&token) {
-                // Dropping the stream closes the fd, which removes it from
-                // the epoll interest list.
-                drop(conn);
-                ev_metrics().connections.add(-1);
+            if let Some(bytes) = reply_inline {
+                self.queue_reply(token, bytes);
             }
         }
     }
 
-    /// Encodes a codec failure as an error frame echoing whatever ids were
-    /// salvageable.
-    fn error_frame(
-        err: &crate::codec::CodecError,
-        version: u8,
-        trace: u64,
-        req_id: u64,
-    ) -> Vec<u8> {
-        let core: crate::error::CoreError = err.clone().into();
-        Message::Error(crate::codec::WireError::from_core(&core))
-            .encode_frame_req(version, trace, req_id)
+    // -------------------------------------------------------- writes --
+
+    fn queue_reply(&mut self, token: u64, bytes: Vec<u8>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.wbuf.extend_from_slice(&bytes);
+        if !self.flush(token) {
+            self.close(token);
+        }
+    }
+
+    /// Writes as much of the pending buffer as the socket takes.
+    /// Returns `false` if the connection is dead.
+    fn flush(&mut self, token: u64) -> bool {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return true;
+        };
+        while conn.wpos < conn.wbuf.len() {
+            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    conn.wpos += n;
+                    conn.write_deadline = None;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    conn.write_deadline = Some(
+                        conn.write_deadline
+                            .unwrap_or_else(|| Instant::now() + self.config.io_timeout),
+                    );
+                    break;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        if conn.wpos >= conn.wbuf.len() {
+            conn.wbuf.clear();
+            conn.wpos = 0;
+            conn.write_deadline = None;
+        }
+        let want_write = conn.wpos < conn.wbuf.len();
+        if want_write != conn.want_write {
+            conn.want_write = want_write;
+            let fd = conn.stream.as_raw_fd();
+            let interest = conn.interest();
+            if self.epoll.modify(fd, interest, token).is_err() {
+                return false;
+            }
+        }
+        true
+    }
+
+    // --------------------------------------------------- completions --
+
+    fn drain_completions(&mut self) {
+        let done: Vec<Completion> = {
+            let mut guard = match self.completions.lock() {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            std::mem::take(&mut *guard)
+        };
+        for completion in done {
+            let Some(conn) = self.conns.get_mut(&completion.token) else {
+                continue; // connection died while the worker ran
+            };
+            conn.inflight = conn.inflight.saturating_sub(1);
+            if conn.closing && conn.inflight == 0 && conn.wbuf.len() == conn.wpos {
+                // Peer already gone and nothing else owed: the reply
+                // has no reader.
+                self.close(completion.token);
+                continue;
+            }
+            self.queue_reply(completion.token, completion.bytes);
+        }
+    }
+
+    // -------------------------------------------------------- sweeps --
+
+    fn sweep(&mut self, now: Instant) {
+        // Re-arm a paused listener once the backoff elapsed.
+        if self.accept_resume.is_some_and(|t| now >= t) {
+            self.accept_resume = None;
+            if self
+                .epoll
+                .add(self.listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)
+                .is_ok()
+            {
+                self.accept_ready();
+            }
+        }
+        let expired: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| {
+                c.read_deadline.is_some_and(|d| now >= d)
+                    || c.write_deadline.is_some_and(|d| now >= d)
+                    || (c.closing && c.inflight == 0 && c.wbuf.len() == c.wpos)
+            })
+            .map(|(&t, _)| t)
+            .collect();
+        for token in expired {
+            self.close(token);
+        }
+    }
+
+    fn close(&mut self, token: u64) {
+        if let Some(conn) = self.conns.remove(&token) {
+            // Dropping the stream closes the fd, which removes it from
+            // the epoll interest list.
+            drop(conn);
+            ev_metrics().connections.add(-1);
+        }
     }
 }
 
-/// Raw Linux bindings: the four libc entry points the event loop needs,
+/// Encodes a codec failure as an error frame echoing whatever ids were
+/// salvageable.
+fn error_frame(err: &crate::codec::CodecError, trace: u64, req_id: u64) -> Vec<u8> {
+    let core: crate::error::CoreError = err.clone().into();
+    Message::Error(crate::codec::WireError::from_core(&core)).encode_frame_req(trace, req_id)
+}
+
+/// Raw Linux bindings: the libc entry points the event loop needs,
 /// declared directly (std already links libc; no external crate).
-#[cfg(target_os = "linux")]
 mod sys {
     use std::fs::File;
     use std::io;
@@ -685,6 +687,15 @@ mod sys {
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
         fn eventfd(initval: u32, flags: i32) -> i32;
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+
+    /// Re-`listen(2)`s an already-listening socket with a new backlog.
+    pub(super) fn set_listen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
+        if unsafe { listen(fd, backlog) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     /// An epoll instance; the fd closes on drop (via the wrapping `File`).

@@ -53,7 +53,7 @@ pub enum Kind {
     Admit = 1,
     /// Admission shed a request. `a` = global in-flight, `b` = db cap.
     Shed = 2,
-    /// A Busy reply went out (shed, deadline miss, or full event-loop
+    /// A Busy reply went out (shed, deadline miss, or full dispatch
     /// queue). `a` = retry-after ms.
     Busy = 3,
     /// A checkpoint began. `a` = WAL depth entering the fold.

@@ -75,6 +75,5 @@ pub use server::Server;
 pub use system::{HostedDatabase, OutsourceConfig, Outsourcer, QueryOutcome};
 pub use tenant::{Tenant, TenantRegistry, DEFAULT_DB};
 pub use transport::{
-    serve, serve_multi, InProcess, Pipeline, Reconnect, ServeConfig, ServeHandle, TcpTransport,
-    Transport,
+    InProcess, Pipeline, Reconnect, ServeConfig, ServeHandle, TcpTransport, Transport,
 };

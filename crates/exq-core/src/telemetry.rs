@@ -841,8 +841,8 @@ impl QueryProfile {
 
 thread_local! {
     /// The serving thread's active profile. At most one request is
-    /// dispatched per thread at a time (both serve paths execute a request
-    /// start-to-finish on one worker thread), so a single slot suffices.
+    /// dispatched per thread at a time (the event loop's workers execute a
+    /// request start-to-finish on one thread), so a single slot suffices.
     static PROFILE: RefCell<Option<QueryProfile>> = const { RefCell::new(None) };
 }
 

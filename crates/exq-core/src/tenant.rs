@@ -4,7 +4,7 @@
 //! The paper's deployment model is a data owner outsourcing one encrypted
 //! document to an untrusted host; a hosted service runs *many* such
 //! databases behind one process. [`TenantRegistry`] maps a database name
-//! (the db id carried by wire-v4 frames) to a [`Tenant`]: the sealed
+//! (the db id every frame carries) to a [`Tenant`]: the sealed
 //! [`Server`] state, the fingerprint of the client key that sealed it, a
 //! per-db mutation [`ReplayTable`], per-db admission counters and quota,
 //! and per-db traffic counters in the telemetry registry.
@@ -41,12 +41,12 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-/// The database that anonymous (pre-v4 or empty-db) requests route to.
+/// The database that anonymous (empty-db) requests route to.
 pub const DEFAULT_DB: &str = "default";
 
 /// Serving state of one hosted database after storage faults. Owned by the
 /// tenant, surfaced in `exq db list`, `exq top`, the flight recorder, and
-/// the `exq_db_health` gauge; enforced by the serve paths.
+/// the `exq_db_health` gauge; enforced by the serve path.
 ///
 /// Transitions: a failed WAL append or checkpoint flips `Healthy →
 /// Degraded` (reads keep serving from pool + page file, mutations get
@@ -133,10 +133,8 @@ pub fn validate_db_id(name: &str) -> Result<(), CoreError> {
 pub struct Tenant {
     name: String,
     /// The sealed server. Shared (`Arc<RwLock>`) so a caller that already
-    /// holds a handle (tests, the single-db [`serve`] wrapper) observes
-    /// the same state the serve loop mutates.
-    ///
-    /// [`serve`]: crate::transport::serve
+    /// holds a handle (tests, `exq serve` via [`TenantRegistry::single`])
+    /// observes the same state the serve loop mutates.
     pub server: Arc<RwLock<Server>>,
     /// Per-tenant at-most-once mutation ledger: request ids are only
     /// unique per client, so replay suppression must not bleed across dbs.
@@ -432,10 +430,8 @@ impl TenantRegistry {
     }
 
     /// Wraps one already-shared server as the sole (default) database,
-    /// preserving the single-db [`serve`] behavior exactly: the caller's
-    /// `Arc` stays live and the server's caches are *not* relabeled.
-    ///
-    /// [`serve`]: crate::transport::serve
+    /// preserving single-db behavior exactly: the caller's `Arc` stays
+    /// live and the server's caches are *not* relabeled.
     pub fn single(name: &str, server: Arc<RwLock<Server>>) -> Result<TenantRegistry, CoreError> {
         let registry = TenantRegistry::new(name)?;
         let tenant = Arc::new(Tenant::new(name, server, 0, 0));
@@ -483,7 +479,7 @@ impl TenantRegistry {
     }
 
     /// The tenant a frame's db id routes to: the named db, or the default
-    /// db for an empty id (which is all pre-v4 peers can send). Unknown
+    /// db for an empty id. Unknown
     /// names are a typed error, answered as an error frame — never a
     /// panic, never another tenant's data.
     pub fn resolve(&self, db: &str) -> Result<Arc<Tenant>, CoreError> {

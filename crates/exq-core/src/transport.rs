@@ -8,14 +8,15 @@
 //! * [`TcpTransport`] — a real socket (std only, no async runtime), with
 //!   connect retry + exponential backoff and per-request I/O timeouts.
 //!
-//! The server side is [`serve_multi`]: an accept loop handing connections
-//! to a small worker pool over a [`TenantRegistry`] — one process hosting
-//! many named, independently-keyed sealed databases. Each wire-v4 frame
-//! names the db it addresses (empty = the default db, which is also where
-//! v1–v3 peers land); read-style requests share that tenant's read lock
-//! and run concurrently, mutations take its write lock. The single-db
-//! [`serve`] entry point wraps the caller's `Arc<RwLock<Server>>` as the
-//! sole default tenant.
+//! The server side is [`crate::evloop::serve_event`], an epoll event loop
+//! over a [`TenantRegistry`] — one process hosting many named,
+//! independently-keyed sealed databases. This module holds the part of
+//! serving that does not depend on sockets: [`ServeConfig`], the
+//! [`ServeHandle`] a running server is owned through, and the per-request
+//! dispatch (`serve_one`) the event loop's workers run. Each frame names
+//! the db it addresses (empty = the default db); read-style requests share
+//! that tenant's read lock and run concurrently, mutations take its write
+//! lock.
 //!
 //! Both sides treat the peer as untrusted at the framing layer: decode
 //! errors never panic, and a connection that sends garbage framing is
@@ -31,22 +32,20 @@
 //! across tenants), so one hot tenant's Busy storm cannot starve another
 //! tenant's share of the server.
 
-use crate::codec::{
-    frame_extra_len, CodecError, DecodedFrame, Message, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
-};
+use crate::codec::{frame_len_for, DecodedFrame, Message, WireError, FRAME_HEADER_LEN};
 use crate::error::CoreError;
 use crate::server::Server;
 use crate::telemetry::{self, Counter, Gauge};
-use crate::tenant::{Tenant, TenantRegistry, DEFAULT_DB};
+use crate::tenant::{Tenant, TenantRegistry};
 use crate::update::{DeleteOutcome, InsertDelta, InsertionSlot};
 use crate::wire::{ServerQuery, ServerResponse};
 use exq_crypto::SealedBlock;
 use exq_index::dsi::Interval;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -90,17 +89,12 @@ fn ft_metrics() -> &'static FtMetrics {
     })
 }
 
-/// Registry handles for the accept-path counters shared by the blocking
-/// serve loop and the event loop.
+/// Registry handles for the event loop's accept-path counters.
 pub(crate) struct AcceptMetrics {
     /// `accept(2)` failures (fd exhaustion, aborted handshakes, …).
     pub(crate) accept_errors: Arc<Counter>,
-    /// Accepted connections refused with `Busy` because the pending queue
-    /// (blocking loop) or dispatch queue (event loop) was full.
+    /// Requests refused with `Busy` because the dispatch queue was full.
     pub(crate) accept_rejected: Arc<Counter>,
-    /// Connections accepted and waiting for a worker (blocking loop only;
-    /// the event loop serves every connection from one thread).
-    pub(crate) queue_depth: Arc<Gauge>,
 }
 
 pub(crate) fn accept_metrics() -> &'static AcceptMetrics {
@@ -108,7 +102,6 @@ pub(crate) fn accept_metrics() -> &'static AcceptMetrics {
     METRICS.get_or_init(|| AcceptMetrics {
         accept_errors: telemetry::counter("exq_accept_errors_total"),
         accept_rejected: telemetry::counter("exq_accept_rejected_total"),
-        queue_depth: telemetry::gauge("exq_accept_queue_depth"),
     })
 }
 
@@ -146,8 +139,8 @@ pub trait Transport {
     /// Cumulative traffic over this transport.
     fn stats(&self) -> LinkStats;
 
-    /// Sets the request id stamped on the *next* outbound frame (v3 frames
-    /// only; 0 = unassigned). The retry layer keeps the id stable across
+    /// Sets the request id stamped on the *next* outbound frame
+    /// (0 = unassigned). The retry layer keeps the id stable across
     /// attempts of one logical request so the server's [`ReplayTable`] can
     /// deduplicate replayed mutations. Transports without frame-level ids
     /// ignore it.
@@ -265,7 +258,7 @@ pub trait Transport {
     }
 
     /// The server's flight-recorder dump as JSON lines (oldest event
-    /// first). Pre-v5 servers answer with a typed error.
+    /// first).
     fn flight_dump(&mut self) -> Result<String, CoreError> {
         match self.roundtrip(&Message::FlightReq)? {
             Message::FlightDump(text) => Ok(text),
@@ -511,11 +504,7 @@ impl<'a> InProcess<'a> {
 impl Transport for InProcess<'_> {
     fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
         let req_id = std::mem::take(&mut self.next_req_id);
-        let frame = req.encode_frame_req(
-            crate::codec::PROTOCOL_VERSION,
-            telemetry::current_trace(),
-            req_id,
-        );
+        let frame = req.encode_frame_req(telemetry::current_trace(), req_id);
         self.stats.requests += 1;
         self.stats.bytes_sent += frame.len() as u64;
         // Decode our own frame: the server must only ever see what survives
@@ -533,7 +522,7 @@ impl Transport for InProcess<'_> {
         // Replies echo the request's trace and request ids so a pipelining
         // client can correlate them; the in-process link keeps the exact
         // same bytes-on-the-wire semantics as the serve loop.
-        let resp_frame = resp.encode_frame_req(d.version, d.trace, d.req_id);
+        let resp_frame = resp.encode_frame_req(d.trace, d.req_id);
         self.stats.bytes_received += resp_frame.len() as u64;
         let m = wire_metrics();
         m.requests.inc();
@@ -597,6 +586,22 @@ pub struct TcpTransport {
     /// Database the frames address on a multi-tenant server (empty = the
     /// server's default db).
     db: String,
+}
+
+/// Reads one whole frame (header, framing fields and payload) off a
+/// blocking stream.
+fn read_frame(stream: &mut TcpStream, peer: SocketAddr) -> Result<Vec<u8>, CoreError> {
+    let failed =
+        |e: std::io::Error| CoreError::Transport(format!("receive from {peer} failed: {e}"));
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    stream.read_exact(&mut header).map_err(failed)?;
+    let (_, payload_len) = Message::parse_header(&header)?;
+    let mut frame = vec![0u8; frame_len_for(payload_len)];
+    frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
+    stream
+        .read_exact(&mut frame[FRAME_HEADER_LEN..])
+        .map_err(failed)?;
+    Ok(frame)
 }
 
 /// One dial pass over the resolved addresses, with retry + backoff.
@@ -679,12 +684,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn roundtrip(&mut self, req: &Message) -> Result<Message, CoreError> {
         let req_id = std::mem::take(&mut self.next_req_id);
-        let frame = req.encode_frame_db(
-            crate::codec::PROTOCOL_VERSION,
-            telemetry::current_trace(),
-            req_id,
-            &self.db,
-        )?;
+        let frame = req.encode_frame_db(telemetry::current_trace(), req_id, &self.db)?;
         self.stream
             .write_all(&frame)
             .and_then(|_| self.stream.flush())
@@ -692,16 +692,7 @@ impl Transport for TcpTransport {
         self.stats.requests += 1;
         self.stats.bytes_sent += frame.len() as u64;
 
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.stream
-            .read_exact(&mut header)
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
-        let (version, _, payload_len) = Message::parse_header(&header)?;
-        let mut resp_frame = vec![0u8; FRAME_HEADER_LEN + frame_extra_len(version) + payload_len];
-        resp_frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-        self.stream
-            .read_exact(&mut resp_frame[FRAME_HEADER_LEN..])
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
+        let resp_frame = read_frame(&mut self.stream, self.peer)?;
         self.stats.bytes_received += resp_frame.len() as u64;
         let m = wire_metrics();
         m.requests.inc();
@@ -745,19 +736,15 @@ impl Reconnect for TcpTransport {
 // ---------------------------------------------------------------- pipeline --
 
 /// A pipelining TCP client link: many requests in flight on one
-/// connection, correlated by the v3+ request-id field that server replies
+/// connection, correlated by the request-id field that server replies
 /// echo. Where [`TcpTransport`] is strictly request→reply, a `Pipeline`
 /// decouples [`Pipeline::submit`] from [`Pipeline::recv`], so a client can
 /// keep the wire full instead of paying a full round trip per request.
-///
-/// Requires protocol v3 or newer (the first dialect with request ids);
-/// naming a database requires v4+, and [`Pipeline::batch`] requires v5.
 pub struct Pipeline {
     stream: TcpStream,
     peer: SocketAddr,
     addrs: Vec<SocketAddr>,
     config: TcpConfig,
-    version: u8,
     db: String,
     next_id: u64,
     /// Requests submitted but not yet matched to a reply.
@@ -766,8 +753,7 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Connects with retry and exponential backoff, speaking the current
-    /// protocol version.
+    /// Connects with retry and exponential backoff.
     pub fn connect(addr: impl ToSocketAddrs, config: TcpConfig) -> Result<Pipeline, CoreError> {
         let addrs: Vec<SocketAddr> = addr
             .to_socket_addrs()
@@ -782,7 +768,6 @@ impl Pipeline {
             peer,
             addrs,
             config,
-            version: crate::codec::PROTOCOL_VERSION,
             db: String::new(),
             next_id: 1,
             outstanding: 0,
@@ -795,34 +780,9 @@ impl Pipeline {
         Pipeline::connect(addr, TcpConfig::default())
     }
 
-    /// Speaks an explicit protocol version (builder form) — v3 or newer,
-    /// since pipelining needs the request-id field to correlate replies.
-    pub fn with_version(mut self, version: u8) -> Result<Pipeline, CoreError> {
-        if !(crate::codec::V3_PROTOCOL_VERSION..=crate::codec::PROTOCOL_VERSION).contains(&version)
-        {
-            return Err(CoreError::Transport(format!(
-                "pipelining requires protocol v{}..=v{}, got v{version}",
-                crate::codec::V3_PROTOCOL_VERSION,
-                crate::codec::PROTOCOL_VERSION
-            )));
-        }
-        if !self.db.is_empty() && version < crate::codec::V4_PROTOCOL_VERSION {
-            return Err(CoreError::Transport(
-                "a named database needs protocol v4 or newer".into(),
-            ));
-        }
-        self.version = version;
-        Ok(self)
-    }
-
-    /// Addresses every subsequent frame to the named database (v4+).
+    /// Addresses every subsequent frame to the named database.
     pub fn with_db(mut self, db: &str) -> Result<Pipeline, CoreError> {
         crate::tenant::validate_db_id(db)?;
-        if !db.is_empty() && self.version < crate::codec::V4_PROTOCOL_VERSION {
-            return Err(CoreError::Transport(
-                "a named database needs protocol v4 or newer".into(),
-            ));
-        }
         self.db = db.to_owned();
         Ok(self)
     }
@@ -859,8 +819,7 @@ impl Pipeline {
                 "pipelined requests need a nonzero request id".into(),
             ));
         }
-        let frame =
-            req.encode_frame_db(self.version, telemetry::current_trace(), req_id, &self.db)?;
+        let frame = req.encode_frame_db(telemetry::current_trace(), req_id, &self.db)?;
         self.stream
             .write_all(&frame)
             .and_then(|_| self.stream.flush())
@@ -878,16 +837,7 @@ impl Pipeline {
     /// Receives the next reply frame, whatever request it answers,
     /// returning the echoed request id alongside the message.
     pub fn recv(&mut self) -> Result<(u64, Message), CoreError> {
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.stream
-            .read_exact(&mut header)
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
-        let (version, _, payload_len) = Message::parse_header(&header)?;
-        let mut frame = vec![0u8; FRAME_HEADER_LEN + frame_extra_len(version) + payload_len];
-        frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-        self.stream
-            .read_exact(&mut frame[FRAME_HEADER_LEN..])
-            .map_err(|e| CoreError::Transport(format!("receive from {} failed: {e}", self.peer)))?;
+        let frame = read_frame(&mut self.stream, self.peer)?;
         self.stats.bytes_received += frame.len() as u64;
         wire_metrics().bytes_received.add(frame.len() as u64);
         let d = Message::decode_frame_ext(&frame)?;
@@ -919,16 +869,11 @@ impl Pipeline {
             .collect())
     }
 
-    /// Submits the group as one v5 [`Message::Batch`] frame and unpacks
+    /// Submits the group as one [`Message::Batch`] frame and unpacks
     /// the [`Message::BatchAnswer`], returning per-item replies in order.
     /// A whole-batch `Busy` or `Error` reply surfaces as the error for the
     /// call.
     pub fn batch(&mut self, reqs: &[Message]) -> Result<Vec<Message>, CoreError> {
-        if self.version < crate::codec::PROTOCOL_VERSION {
-            return Err(CoreError::Transport(
-                "batch frames need protocol v5 or newer".into(),
-            ));
-        }
         let id = self.submit(&Message::Batch(reqs.to_vec()))?;
         let (got, msg) = self.recv()?;
         if got != id && got != 0 {
@@ -970,15 +915,18 @@ impl Pipeline {
 /// Server-side knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads handling connections.
+    /// Worker threads running dispatched requests.
     pub workers: usize,
-    /// Per-`read` socket timeout. Between frames this is only the polling
-    /// cadence for the stop flag (an idle connection is never dropped for
-    /// slowness); it also bounds how long shutdown can take.
+    /// Event-loop tick (clamped to 10–200 ms): how often stall deadlines
+    /// are swept and the stop flag is checked when no socket is ready. It
+    /// bounds how long shutdown can take; an idle connection is never
+    /// dropped for slowness.
     pub poll_interval: Duration,
-    /// Total time a peer gets to deliver the *rest* of a frame once its
-    /// first byte has arrived. A slow-but-live client dribbling bytes keeps
-    /// the connection; one stalled mid-frame past this budget is dropped.
+    /// Stall budget: how long a peer may go without sending a byte once a
+    /// frame has started arriving, or without draining a byte of a reply
+    /// it is owed. Progress restarts the budget, so a slow-but-live client
+    /// dribbling bytes keeps the connection; one stalled past it is
+    /// dropped.
     pub io_timeout: Duration,
     /// Intra-query worker threads (`0` = auto via `EXQ_THREADS` /
     /// available parallelism); applied to the served [`Server`].
@@ -1002,10 +950,9 @@ pub struct ServeConfig {
     pub deadline: Duration,
     /// The `retry_after_ms` hint carried in `Busy` replies.
     pub retry_after: Duration,
-    /// Accepted connections allowed to wait for a worker (blocking serve
-    /// loop) or dispatched requests allowed to wait for one (event loop)
-    /// before new arrivals are refused with `Busy` instead of queueing
-    /// unboundedly (`0` = auto: 8× `workers`, at least 32).
+    /// Dispatched requests allowed to wait for a worker before new
+    /// arrivals are refused with `Busy` instead of queueing unboundedly
+    /// (`0` = auto: 8× `workers`, at least 32).
     pub accept_backlog: usize,
 }
 
@@ -1027,7 +974,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The effective bound on the acceptor→worker queue.
+    /// The effective bound on the dispatch queue.
     pub(crate) fn backlog(&self) -> usize {
         if self.accept_backlog > 0 {
             self.accept_backlog
@@ -1037,9 +984,10 @@ impl ServeConfig {
     }
 }
 
-/// Admission state shared by every connection of one [`serve_multi`]
-/// instance. Per-tenant state (replay tables, per-db in-flight counters)
-/// lives inside the registry's [`Tenant`]s.
+/// Admission state shared by every connection of one
+/// [`crate::evloop::serve_event`] instance. Per-tenant state (replay
+/// tables, per-db in-flight counters) lives inside the registry's
+/// [`Tenant`]s.
 pub(crate) struct ServeShared {
     /// The databases this instance hosts.
     pub(crate) registry: Arc<TenantRegistry>,
@@ -1095,9 +1043,7 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Assembles a handle around externally spawned serve threads (the
-    /// event loop lives in [`crate::evloop`] but shares this handle so
-    /// callers shut both loop styles down identically).
+    /// Assembles a handle around the event loop's spawned threads.
     pub(crate) fn assemble(
         addr: SocketAddr,
         stop: Arc<AtomicBool>,
@@ -1148,8 +1094,8 @@ impl ServeHandle {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The accept loop blocks in `accept`; a throwaway connection wakes
-        // it so it can observe the flag.
+        // The event loop sees the flag on its next tick at the latest; a
+        // throwaway connection wakes it sooner.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1163,118 +1109,8 @@ impl Drop for ServeHandle {
     }
 }
 
-/// Runs the frame protocol over `listener` against a shared server.
-///
-/// The server becomes the sole (default) database of a single-tenant
-/// registry; frames that don't name a db — and all v1–v3 frames — route
-/// to it, so existing single-database deployments behave exactly as
-/// before. Read-style requests are answered under the read lock
-/// (concurrently); insert/delete take the write lock. Returns
-/// immediately; the returned handle owns the accept and worker threads.
-pub fn serve(
-    listener: TcpListener,
-    server: Arc<RwLock<Server>>,
-    config: ServeConfig,
-) -> std::io::Result<ServeHandle> {
-    let registry =
-        Arc::new(TenantRegistry::single(DEFAULT_DB, server).expect("default db id is valid"));
-    serve_multi(listener, registry, config)
-}
-
-/// Raises the kernel accept backlog on an already-listening socket.
-///
-/// `TcpListener::bind` hardcodes a backlog of 128; a burst of ~1000
-/// simultaneous connects (E20 at scale) overflows the SYN queue and the
-/// excess either times out or sees `ECONNREFUSED` before the accept loop
-/// ever runs. POSIX allows re-calling `listen(2)` on a listening socket
-/// to grow the backlog, so that is exactly what this does — the kernel
-/// still clamps to `net.core.somaxconn`. Best-effort: a failure keeps the
-/// default backlog rather than refusing to serve.
-#[cfg(unix)]
-pub(crate) fn tune_listen_backlog(listener: &TcpListener, config: &ServeConfig) {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn listen(fd: std::ffi::c_int, backlog: std::ffi::c_int) -> std::ffi::c_int;
-    }
-    let want = config.backlog().max(1024).min(i32::MAX as usize) as std::ffi::c_int;
-    if unsafe { listen(listener.as_raw_fd(), want) } != 0 {
-        telemetry::log(
-            telemetry::Level::Warn,
-            &format!(
-                "listen backlog {want} not applied: {}",
-                std::io::Error::last_os_error()
-            ),
-        );
-    }
-}
-
-#[cfg(not(unix))]
-pub(crate) fn tune_listen_backlog(_listener: &TcpListener, _config: &ServeConfig) {}
-
-/// Runs the frame protocol over `listener` against a registry of sealed
-/// databases. v4 frames route by the db id they carry (empty = the
-/// registry's default db); v1–v3 frames always hit the default db.
-/// Unknown db ids are answered with a typed tenant error, never a panic
-/// or a dropped connection.
-pub fn serve_multi(
-    listener: TcpListener,
-    registry: Arc<TenantRegistry>,
-    config: ServeConfig,
-) -> std::io::Result<ServeHandle> {
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    tune_listen_backlog(&listener, &config);
-    apply_tenant_knobs(&registry, &config);
-    // Bounded: connections past the backlog are answered `Busy` by the
-    // accept thread instead of queueing forever behind pinned workers.
-    let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.backlog());
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let shared = Arc::new(ServeShared {
-        registry: Arc::clone(&registry),
-        inflight: AtomicUsize::new(0),
-    });
-    let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
-
-    for _ in 0..config.workers.max(1) {
-        let rx = Arc::clone(&conn_rx);
-        let stop_flag = Arc::clone(&stop);
-        let shr = Arc::clone(&shared);
-        let cfg = config.clone();
-        threads.push(thread::spawn(move || loop {
-            // Lock is held only for the recv; a worker going down with a
-            // panic would poison it, so recover defensively.
-            let next = match rx.lock() {
-                Ok(guard) => guard.recv(),
-                Err(poisoned) => poisoned.into_inner().recv(),
-            };
-            match next {
-                Ok(stream) => {
-                    accept_metrics().queue_depth.add(-1);
-                    handle_connection(stream, &shr, &stop_flag, &cfg)
-                }
-                Err(_) => return, // accept loop gone
-            }
-        }));
-    }
-
-    {
-        let stop_flag = Arc::clone(&stop);
-        let cfg = config.clone();
-        threads.push(thread::spawn(move || {
-            accept_loop(&listener, &conn_tx, &stop_flag, &cfg);
-        }));
-    }
-
-    Ok(ServeHandle {
-        addr,
-        stop,
-        threads,
-        registry,
-    })
-}
-
 /// Applies the intra-query parallelism and cache knobs to every hosted
-/// instance (shared by the blocking serve loop and the event loop).
+/// instance.
 pub(crate) fn apply_tenant_knobs(registry: &TenantRegistry, config: &ServeConfig) {
     for tenant in registry.tenants() {
         match tenant.server.write() {
@@ -1291,234 +1127,14 @@ pub(crate) fn apply_tenant_knobs(registry: &TenantRegistry, config: &ServeConfig
     }
 }
 
-/// Smallest/largest sleep after a failed `accept(2)`. Errors like fd
-/// exhaustion (EMFILE) persist for a while: without backoff the accept
-/// thread would spin at 100% CPU re-reporting the same failure.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
-
-/// The blocking accept loop: hand connections to workers through the
-/// bounded queue, refuse with `Busy` past the bound, and back off
-/// (bounded, exponential) on accept errors instead of busy-spinning.
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &mpsc::SyncSender<TcpStream>,
-    stop: &AtomicBool,
-    config: &ServeConfig,
-) {
-    let metrics = accept_metrics();
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    let mut consecutive_errors = 0u64;
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return; // drops conn_tx, draining the workers
-        }
-        match conn {
-            Ok(stream) => {
-                backoff = ACCEPT_BACKOFF_MIN;
-                consecutive_errors = 0;
-                match conn_tx.try_send(stream) {
-                    Ok(()) => {
-                        metrics.queue_depth.add(1);
-                    }
-                    Err(mpsc::TrySendError::Full(stream)) => {
-                        metrics.accept_rejected.inc();
-                        refuse_busy(stream, config.retry_after);
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(_) => {
-                metrics.accept_errors.inc();
-                consecutive_errors += 1;
-                crate::flight::event(
-                    crate::flight::Kind::AcceptError,
-                    "",
-                    consecutive_errors,
-                    0,
-                    0,
-                );
-                thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
-}
-
-/// Best-effort `Busy` to a connection refused at the accept queue, then
-/// close. Encoded as v3 — the oldest dialect with a `Busy` frame — since
-/// the peer has not spoken yet; the write is bounded so a peer that never
-/// reads cannot pin the accept thread.
-pub(crate) fn refuse_busy(stream: TcpStream, retry_after: Duration) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(50)));
-    let frame = busy_reply(crate::codec::V3_PROTOCOL_VERSION, retry_after)
-        .encode_frame_v(crate::codec::V3_PROTOCOL_VERSION, 0);
-    let _ = stream.write_all(&frame);
-}
-
-/// Serves one connection until EOF, shutdown, a framing error, or a
-/// mid-frame stall longer than `config.io_timeout`.
-fn handle_connection(
-    stream: TcpStream,
-    shared: &ServeShared,
-    stop: &AtomicBool,
-    config: &ServeConfig,
-) {
-    let io_timeout = config.io_timeout;
-    let mut stream = stream;
-    stream.set_nodelay(true).ok();
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
-        return;
-    }
-    // Writes poll at the same cadence as reads so a peer that stops
-    // reading is held to the mid-frame stall budget instead of pinning
-    // this worker in `write_all` forever.
-    if stream
-        .set_write_timeout(Some(config.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        // Waiting for a frame's first byte is *idle* time: poll the stop
-        // flag forever, never drop for slowness. Once any byte of a frame
-        // has arrived the peer owes us the rest within `io_timeout`.
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        match read_exact_or_stop(&mut stream, &mut header, stop, io_timeout, false) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Closed | ReadOutcome::Stopped => return,
-        }
-        let (version, _, payload_len) = match Message::parse_header(&header) {
-            Ok(v) => v,
-            Err(e) => {
-                // Framing is unrecoverable: answer once and drop the link.
-                // The legacy frame version is understood by every peer.
-                send_error(
-                    &mut stream,
-                    &e,
-                    crate::codec::LEGACY_PROTOCOL_VERSION,
-                    0,
-                    0,
-                    stop,
-                    io_timeout,
-                );
-                return;
-            }
-        };
-        // Frames beyond v1 carry extra fields between header and payload.
-        let mut frame = vec![0u8; FRAME_HEADER_LEN + frame_extra_len(version) + payload_len];
-        frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-        // The payload read is mid-frame from its first moment: the header
-        // already arrived, so the full-frame budget is already running.
-        match read_exact_or_stop(
-            &mut stream,
-            &mut frame[FRAME_HEADER_LEN..],
-            stop,
-            io_timeout,
-            true,
-        ) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Closed | ReadOutcome::Stopped => return,
-        }
-        let (reply, trace, req_id) = match Message::decode_frame_ext(&frame) {
-            Err(e) => {
-                // The payload failed to decode but the framing fields may
-                // still be intact: echo what can be salvaged so even the
-                // error reply correlates for a pipelining client.
-                let (trace, req_id) = salvage_frame_ids(&frame, version);
-                send_error(&mut stream, &e, version, trace, req_id, stop, io_timeout);
-                return;
-            }
-            Ok(d) => (serve_one(shared, config, &d), d.trace, d.req_id),
-        };
-        // Reply in the request's protocol version so legacy peers can
-        // decode the response, echoing the request's trace and request ids
-        // so a client with several requests in flight can correlate.
-        let frame = reply.encode_frame_req(version, trace, req_id);
-        debug_assert!(
-            frame.len() <= FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + MAX_FRAME_LEN
-        );
-        if !write_all_or_stop(&mut stream, &frame, stop, io_timeout) {
-            return;
-        }
-    }
-}
-
-/// Best-effort extraction of the trace and request ids from a raw frame
-/// whose payload failed to decode: the framing fields sit at fixed offsets
-/// for a given version, so they survive payload-level corruption. (After a
-/// checksum failure the ids are untrustworthy, but echoing them is
-/// harmless — the worst case is what always happened before: an error the
-/// client cannot correlate.)
-pub(crate) fn salvage_frame_ids(frame: &[u8], version: u8) -> (u64, u64) {
-    use crate::codec::{TRACE_FIELD_LEN, V2_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
-    let mut trace = 0u64;
-    let mut req_id = 0u64;
-    let trace_pos = FRAME_HEADER_LEN;
-    if version >= V2_PROTOCOL_VERSION && frame.len() >= trace_pos + 8 {
-        trace = u64::from_le_bytes(frame[trace_pos..trace_pos + 8].try_into().unwrap());
-    }
-    let id_pos = FRAME_HEADER_LEN + TRACE_FIELD_LEN;
-    if version >= V3_PROTOCOL_VERSION && frame.len() >= id_pos + 8 {
-        req_id = u64::from_le_bytes(frame[id_pos..id_pos + 8].try_into().unwrap());
-    }
-    (trace, req_id)
-}
-
-/// `write_all` with the same two-regime discipline as the read side: short
-/// socket timeouts keep the stop flag responsive, progress resets the
-/// stall budget, and a peer that stops draining its receive window is
-/// dropped once `io_timeout` passes without a byte leaving. Returns
-/// `false` if the connection should be closed.
-fn write_all_or_stop(
-    stream: &mut TcpStream,
-    buf: &[u8],
-    stop: &AtomicBool,
-    io_timeout: Duration,
-) -> bool {
-    let mut written = 0;
-    let mut deadline = Instant::now() + io_timeout;
-    while written < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        match stream.write(&buf[written..]) {
-            Ok(0) => return false,
-            Ok(n) => {
-                written += n;
-                deadline = Instant::now() + io_timeout;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    stream.flush().is_ok()
-}
-
 /// How long a deadline-bounded lock acquisition sleeps between attempts.
 const LOCK_POLL: Duration = Duration::from_micros(500);
 
-/// The `Busy` reply in the requester's dialect: older peers don't know the
-/// `Busy` frame, so they get a transport-class error carrying the hint.
-pub(crate) fn busy_reply(version: u8, retry_after: Duration) -> Message {
+/// The `Busy` reply carrying the retry hint, noted in the flight recorder.
+pub(crate) fn busy_reply(retry_after: Duration) -> Message {
     let retry_after_ms = retry_after.as_millis().min(u32::MAX as u128) as u32;
     crate::flight::event(crate::flight::Kind::Busy, "", retry_after_ms as u64, 0, 0);
-    if version >= crate::codec::V3_PROTOCOL_VERSION {
-        Message::Busy { retry_after_ms }
-    } else {
-        Message::Error(WireError::from_core(&CoreError::Transport(format!(
-            "server busy; retry after {retry_after_ms}ms"
-        ))))
-    }
+    Message::Busy { retry_after_ms }
 }
 
 /// Request-class half of the admission policy: given that *some* in-flight
@@ -1658,7 +1274,7 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
             db_cap as u64,
             0,
         );
-        return busy_reply(d.version, config.retry_after);
+        return busy_reply(config.retry_after);
     }
     if matches!(d.msg, Message::MetricsReq) {
         // Scrape-time freshness for every hosted db, not just this one.
@@ -1692,7 +1308,7 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
                 }
                 None => {
                     ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(d.version, config.retry_after))
+                    Ok(busy_reply(config.retry_after))
                 }
             }
         } else {
@@ -1700,7 +1316,7 @@ pub(crate) fn serve_one(shared: &ServeShared, config: &ServeConfig, d: &DecodedF
                 Some(guard) => answer_request(&guard, &d.msg),
                 None => {
                     ft_metrics().deadline_shed.inc();
-                    Ok(busy_reply(d.version, config.retry_after))
+                    Ok(busy_reply(config.retry_after))
                 }
             }
         };
@@ -1755,8 +1371,8 @@ fn finish_profile(
     Some(profile)
 }
 
-/// Slow-request accounting shared by both serve paths: the annotated
-/// slow-query log line plus a flight-recorder event.
+/// Slow-request accounting shared by single requests and batches: the
+/// annotated slow-query log line plus a flight-recorder event.
 fn note_slow(db: &str, total: Duration, profile: Option<&telemetry::QueryProfile>) {
     telemetry::note_server_query(db, total, profile);
     let threshold = telemetry::slow_threshold_ns();
@@ -1818,7 +1434,7 @@ fn serve_batch(
             db_cap as u64,
             0,
         );
-        return busy_reply(d.version, config.retry_after);
+        return busy_reply(config.retry_after);
     }
     if items.iter().any(|m| matches!(m, Message::MetricsReq)) {
         shared.registry.refresh_store_gauges();
@@ -1847,7 +1463,7 @@ fn serve_batch(
             )),
             None => {
                 ft_metrics().deadline_shed.inc();
-                Ok(busy_reply(d.version, config.retry_after))
+                Ok(busy_reply(config.retry_after))
             }
         };
         profile = finish_profile(&tenant, &result);
@@ -1872,80 +1488,6 @@ fn batch_all_cheap(server: &RwLock<Server>, items: &[Message]) -> bool {
         Message::Query(q) => guard.has_cached_response(q),
         _ => false,
     })
-}
-
-enum ReadOutcome {
-    Ok,
-    Closed,
-    Stopped,
-}
-
-/// `read_exact` that keeps polling across short read timeouts so idle
-/// connections still notice shutdown promptly, while holding a stalled
-/// peer to the mid-frame budget.
-///
-/// Two timeout regimes, chosen by whether we are inside a frame:
-///
-/// * **idle** (`mid_frame == false` and nothing read yet) — each poll
-///   timeout just re-checks the stop flag; a connection may sit here
-///   indefinitely between requests;
-/// * **mid-frame** (`mid_frame == true`, or as soon as the first byte of
-///   this buffer lands) — a deadline of `io_timeout` starts; any progress
-///   (fresh bytes) resets it, so a slow-but-live writer dribbling a large
-///   frame is fine, but a peer that goes silent mid-frame is dropped once
-///   the budget elapses.
-fn read_exact_or_stop(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    io_timeout: Duration,
-    mid_frame: bool,
-) -> ReadOutcome {
-    let mut filled = 0;
-    let mut deadline = if mid_frame {
-        Some(Instant::now() + io_timeout)
-    } else {
-        None
-    };
-    while filled < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return ReadOutcome::Stopped;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(n) => {
-                filled += n;
-                // Progress restarts the stall budget.
-                deadline = Some(Instant::now() + io_timeout);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return ReadOutcome::Closed;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-    ReadOutcome::Ok
-}
-
-fn send_error(
-    stream: &mut TcpStream,
-    err: &CodecError,
-    version: u8,
-    trace: u64,
-    req_id: u64,
-    stop: &AtomicBool,
-    io_timeout: Duration,
-) {
-    let core: CoreError = err.clone().into();
-    let frame =
-        Message::Error(WireError::from_core(&core)).encode_frame_req(version, trace, req_id);
-    write_all_or_stop(stream, &frame, stop, io_timeout);
 }
 
 #[cfg(test)]
@@ -2006,7 +1548,7 @@ mod tests {
         );
         assert_eq!(
             stats.bytes_received as usize,
-            FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + resp.encoded_len()
+            frame_len_for(resp.encoded_len())
         );
         assert_eq!(stats.bytes_received as usize, resp.payload_bytes());
     }
@@ -2045,17 +1587,6 @@ mod tests {
         assert!(!should_shed(&Message::CacheStatsReq, 4, 4, || false));
         assert!(!should_shed(&Message::MetricsReq, 4, 4, || false));
         assert!(should_shed(&Message::NaiveQuery, 4, 4, || false));
-    }
-
-    #[test]
-    fn busy_reply_downgrades_for_legacy_peers() {
-        let v3 = busy_reply(crate::codec::PROTOCOL_VERSION, Duration::from_millis(25));
-        assert_eq!(v3, Message::Busy { retry_after_ms: 25 });
-        let v1 = busy_reply(
-            crate::codec::LEGACY_PROTOCOL_VERSION,
-            Duration::from_millis(25),
-        );
-        assert!(matches!(v1, Message::Error(_)), "got {v1:?}");
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl ServerQuery {
     /// `Query` frame's payload is exactly the query's own encoding.
     pub fn wire_size(&self) -> usize {
         use crate::codec::WireCodec;
-        crate::codec::FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + self.encoded_len()
+        crate::codec::frame_len_for(self.encoded_len())
     }
 }
 
@@ -99,7 +99,7 @@ impl ServerResponse {
     /// length (header and framing fields included).
     pub fn payload_bytes(&self) -> usize {
         use crate::codec::WireCodec;
-        crate::codec::FRAME_HEADER_LEN + crate::codec::FRAME_EXTRA_LEN + self.encoded_len()
+        crate::codec::frame_len_for(self.encoded_len())
     }
 }
 
@@ -279,6 +279,18 @@ mod tests {
         assert_eq!(
             q.wire_size(),
             Message::Query(q.clone()).encode_frame().len()
+        );
+        let delta = crate::update::InsertDelta {
+            parent: exq_index::dsi::Interval { lo: 1, hi: 2 },
+            visible_fragment: String::new(),
+            blocks: vec![],
+            dsi_entries: vec![],
+            block_entries: vec![],
+            value_entries: vec![],
+        };
+        assert_eq!(
+            delta.wire_size(),
+            Message::ApplyInsert(delta.clone()).encode_frame().len()
         );
     }
 }

@@ -16,8 +16,8 @@ use exq_core::fault::{ChaosProxy, FaultConfig, FaultTransport, ProxyFaults};
 use exq_core::retry::{Retry, RetryConfig};
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
-use exq_core::transport::{serve, InProcess, ServeConfig, TcpTransport, Transport};
-use exq_core::{Client, CoreError, Server};
+use exq_core::transport::{InProcess, ServeConfig, ServeHandle, TcpTransport, Transport};
+use exq_core::{serve_event, Client, CoreError, Server, TenantRegistry, DEFAULT_DB};
 use exq_xml::Document;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -52,6 +52,16 @@ fn constraints() -> Vec<SecurityConstraint> {
     .iter()
     .map(|s| SecurityConstraint::parse(s).unwrap())
     .collect()
+}
+
+/// Serves `server` as the sole (default) database.
+fn serve_single(
+    listener: std::net::TcpListener,
+    server: Arc<RwLock<Server>>,
+    config: ServeConfig,
+) -> std::io::Result<ServeHandle> {
+    let registry = Arc::new(TenantRegistry::single(DEFAULT_DB, server).unwrap());
+    serve_event(listener, registry, config)
 }
 
 fn hosted(patients: usize) -> (Client, Server) {
@@ -297,7 +307,7 @@ fn queries_survive_socket_level_chaos() {
     }
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = serve(
+    let handle = serve_single(
         listener,
         Arc::new(RwLock::new(server)),
         ServeConfig {
@@ -364,7 +374,7 @@ fn client_survives_server_restart_via_reconnect() {
     let bytes = server.save_bytes().unwrap();
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = serve(
+    let handle = serve_single(
         listener,
         Arc::new(RwLock::new(server)),
         ServeConfig::default(),
@@ -395,7 +405,7 @@ fn client_survives_server_restart_via_reconnect() {
     // proxy, and the *same* client link recovers mid-session.
     let restarted = Server::load_bytes(&bytes).unwrap();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle2 = serve(
+    let handle2 = serve_single(
         listener,
         Arc::new(RwLock::new(restarted)),
         ServeConfig::default(),
@@ -428,7 +438,7 @@ fn saturated_server_sheds_busy_within_deadline() {
     let server = Arc::new(RwLock::new(server));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let deadline = Duration::from_millis(60);
-    let handle = serve(
+    let handle = serve_single(
         listener,
         Arc::clone(&server),
         ServeConfig {
@@ -456,8 +466,8 @@ fn saturated_server_sheds_busy_within_deadline() {
     let rtt = pinger.ping().unwrap();
     assert!(rtt < deadline, "ping should not queue behind the writer");
 
-    // Fire concurrent queries; each must come back Busy (v3 peers get the
-    // typed frame) within deadline + generous slack — not hang.
+    // Fire concurrent queries; each must come back Busy within
+    // deadline + generous slack — not hang.
     let mut clients: Vec<_> = (0..4)
         .map(|_| TcpTransport::connect_default(handle.addr()).unwrap())
         .collect();
@@ -501,7 +511,7 @@ fn retry_layer_waits_out_busy_phase() {
     };
     let server = Arc::new(RwLock::new(server));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = serve(
+    let handle = serve_single(
         listener,
         Arc::clone(&server),
         ServeConfig {

@@ -1,15 +1,16 @@
 //! Multi-tenant isolation: one serve loop hosting several independently
 //! keyed sealed databases must keep them bit-for-bit independent — answers,
-//! caches, replay tables, admission slots, and on-disk state — while v1–v3
-//! peers keep getting correct answers from the default db.
+//! caches, replay tables, admission slots, and on-disk state — while
+//! frames that name no db keep getting correct answers from the default
+//! db.
 
 use exq_core::codec::{Message, FRAME_HEADER_LEN};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::tenant::TenantRegistry;
-use exq_core::transport::{serve_multi, ServeConfig, ServeHandle, TcpTransport, Transport};
-use exq_core::{Client, Server};
+use exq_core::transport::{ServeConfig, ServeHandle, TcpTransport, Transport};
+use exq_core::{serve_event, Client, Server};
 use exq_xml::Document;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -74,7 +75,7 @@ fn three_db_registry(prefix: &str) -> (Arc<TenantRegistry>, Vec<(String, Client)
 
 fn start(registry: Arc<TenantRegistry>, config: ServeConfig) -> ServeHandle {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    serve_multi(listener, registry, config).unwrap()
+    serve_event(listener, registry, config).unwrap()
 }
 
 fn connect(handle: &ServeHandle, db: &str) -> TcpTransport {
@@ -110,7 +111,7 @@ fn three_tenants_answer_independently() {
             .unwrap();
         assert_eq!(out.results, ["<age>40</age>"], "tenant {name}");
     }
-    // An anonymous (no --db) v4 client lands on the default db.
+    // An anonymous (no --db) client lands on the default db.
     let (default_name, default_client) = &clients[0];
     assert_eq!(registry.default_db(), default_name);
     let mut anon = TcpTransport::connect_default(handle.addr()).unwrap();
@@ -159,7 +160,7 @@ fn unknown_and_malformed_db_ids_get_typed_errors() {
     raw.flush().unwrap();
     let mut header = [0u8; FRAME_HEADER_LEN];
     raw.read_exact(&mut header).unwrap();
-    let (_, msg_type, _) = Message::parse_header(&header).unwrap();
+    let (msg_type, _) = Message::parse_header(&header).unwrap();
     assert_eq!(msg_type, 0xFF, "malformed db id must yield an error frame");
 
     // Healthy tenants are unaffected.
@@ -431,48 +432,6 @@ fn single_file_artifact_auto_migrates() {
         "main",
         "manifest default wins over the hint"
     );
-}
-
-/// v1, v2, and v3 frames carry no db id; a multi-tenant server must answer
-/// them from the default db, framed in the requester's own version.
-#[test]
-fn legacy_v1_v2_v3_peers_get_default_db_answers() {
-    use exq_core::codec::{LEGACY_PROTOCOL_VERSION, V2_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
-    let (registry, _clients) = three_db_registry("compat");
-    let handle = start(Arc::clone(&registry), ServeConfig::default());
-
-    for version in [
-        LEGACY_PROTOCOL_VERSION,
-        V2_PROTOCOL_VERSION,
-        V3_PROTOCOL_VERSION,
-    ] {
-        let mut raw = TcpStream::connect(handle.addr()).unwrap();
-        let frame = Message::NaiveQuery.encode_frame_v(version, 0);
-        raw.write_all(&frame).unwrap();
-        raw.flush().unwrap();
-
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        raw.read_exact(&mut header).unwrap();
-        let (got_version, msg_type, payload_len) = Message::parse_header(&header).unwrap();
-        assert_eq!(got_version, version, "reply must echo v{version}");
-        assert_eq!(msg_type, 0x81, "expected an Answer frame for v{version}");
-        let mut reply = header.to_vec();
-        reply.resize(
-            FRAME_HEADER_LEN + exq_core::codec::frame_extra_len(version) + payload_len,
-            0,
-        );
-        raw.read_exact(&mut reply[FRAME_HEADER_LEN..]).unwrap();
-        match Message::decode_frame(&reply).unwrap() {
-            Message::Answer(resp) => {
-                assert!(
-                    !resp.pruned_xml.is_empty() || !resp.blocks.is_empty(),
-                    "v{version} answer must carry the default db"
-                );
-            }
-            other => panic!("expected Answer for v{version}, got {other:?}"),
-        }
-    }
-    handle.shutdown();
 }
 
 /// Dropping a database removes every one of its `{db="…"}` series from

@@ -15,8 +15,8 @@ use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
 use exq_core::telemetry;
-use exq_core::transport::{serve, ServeConfig, TcpTransport};
-use exq_core::{Client, Server};
+use exq_core::transport::{ServeConfig, TcpTransport};
+use exq_core::{serve_event, Client, Server, TenantRegistry, DEFAULT_DB};
 use exq_xml::Document;
 use std::net::TcpListener;
 use std::sync::{Arc, RwLock};
@@ -70,7 +70,8 @@ fn traces_stitch_and_telemetry_never_changes_answers() {
     server.set_cache_entries(Some(1024));
     let shared = Arc::new(RwLock::new(server));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = serve(listener, shared, ServeConfig::default()).unwrap();
+    let registry = Arc::new(TenantRegistry::single(DEFAULT_DB, shared).unwrap());
+    let handle = serve_event(listener, registry, ServeConfig::default()).unwrap();
     let mut tcp = TcpTransport::connect_default(handle.addr()).unwrap();
 
     // --- Part 1: telemetry on vs off yields bit-identical answers. -------

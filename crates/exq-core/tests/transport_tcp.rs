@@ -1,15 +1,15 @@
-//! End-to-end tests over a real socket: a server behind [`serve`] on an
-//! ephemeral port must be indistinguishable from the in-process link —
+//! End-to-end tests over a real socket: a server behind [`serve_event`] on
+//! an ephemeral port must be indistinguishable from the in-process link —
 //! same results, same exact byte counts, mutations and aggregates
 //! included — and must survive hostile framing without dying.
 
 use exq_core::aggregate::Aggregate;
-use exq_core::codec::{Message, FRAME_HEADER_LEN};
+use exq_core::codec::{frame_len_for, Message, FRAME_HEADER_LEN, PROTOCOL_VERSION};
 use exq_core::constraints::SecurityConstraint;
 use exq_core::scheme::SchemeKind;
 use exq_core::system::{OutsourceConfig, Outsourcer};
-use exq_core::transport::{serve, InProcess, ServeConfig, ServeHandle, TcpTransport, Transport};
-use exq_core::{Client, Server};
+use exq_core::transport::{InProcess, ServeConfig, ServeHandle, TcpTransport, Transport};
+use exq_core::{serve_event, Client, Server, TenantRegistry, DEFAULT_DB};
 use exq_xml::Document;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -37,9 +37,15 @@ fn hosted() -> (Client, Server) {
 
 fn start(server: Server) -> (ServeHandle, Arc<RwLock<Server>>) {
     let shared = Arc::new(RwLock::new(server));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = serve(listener, Arc::clone(&shared), ServeConfig::default()).unwrap();
+    let handle = serve_shared(Arc::clone(&shared), ServeConfig::default());
     (handle, shared)
+}
+
+/// Serves `shared` as the sole (default) database.
+fn serve_shared(shared: Arc<RwLock<Server>>, config: ServeConfig) -> ServeHandle {
+    let registry = Arc::new(TenantRegistry::single(DEFAULT_DB, shared).unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    serve_event(listener, registry, config).unwrap()
 }
 
 #[test]
@@ -172,12 +178,11 @@ fn garbage_framing_gets_error_frame_then_close() {
     raw.flush().unwrap();
     let mut header = [0u8; FRAME_HEADER_LEN];
     raw.read_exact(&mut header).unwrap();
-    let (_, msg_type, payload_len) = Message::parse_header(&header).unwrap();
+    let (msg_type, payload_len) = Message::parse_header(&header).unwrap();
     assert_eq!(msg_type, 0xFF, "expected an error frame");
-    let mut payload = vec![0u8; payload_len];
-    raw.read_exact(&mut payload).unwrap();
     let mut frame = header.to_vec();
-    frame.extend_from_slice(&payload);
+    frame.resize(frame_len_for(payload_len), 0);
+    raw.read_exact(&mut frame[FRAME_HEADER_LEN..]).unwrap();
     assert!(matches!(
         Message::decode_frame(&frame),
         Ok(Message::Error(_))
@@ -201,7 +206,7 @@ fn oversized_length_prefix_is_rejected_not_allocated() {
     // Magic + version + Query type, then a 3 GiB length prefix.
     let mut frame = Vec::new();
     frame.extend_from_slice(b"EQ");
-    frame.push(1);
+    frame.push(PROTOCOL_VERSION);
     frame.push(0x01);
     frame.extend_from_slice(&(3_000_000_000u32).to_le_bytes());
     raw.write_all(&frame).unwrap();
@@ -209,60 +214,64 @@ fn oversized_length_prefix_is_rejected_not_allocated() {
 
     let mut header = [0u8; FRAME_HEADER_LEN];
     raw.read_exact(&mut header).unwrap();
-    let (_, msg_type, _) = Message::parse_header(&header).unwrap();
+    let (msg_type, _) = Message::parse_header(&header).unwrap();
     assert_eq!(msg_type, 0xFF, "oversize must be answered with an error");
     handle.shutdown();
 }
 
 fn start_with(server: Server, config: ServeConfig) -> ServeHandle {
-    let shared = Arc::new(RwLock::new(server));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    serve(listener, shared, config).unwrap()
+    serve_shared(Arc::new(RwLock::new(server)), config)
 }
 
-/// Reads one full response frame (header + version-dependent extra fields
-/// + payload) off a raw stream, handling every protocol version.
+/// Reads one full response frame (header + framing fields + payload) off a
+/// raw stream.
 fn read_frame(raw: &mut TcpStream) -> Message {
     let mut header = [0u8; FRAME_HEADER_LEN];
     raw.read_exact(&mut header).unwrap();
-    let (version, _, payload_len) = Message::parse_header(&header).unwrap();
+    let (_, payload_len) = Message::parse_header(&header).unwrap();
     let mut frame = header.to_vec();
-    frame.resize(
-        FRAME_HEADER_LEN + exq_core::codec::frame_extra_len(version) + payload_len,
-        0,
-    );
+    frame.resize(frame_len_for(payload_len), 0);
     raw.read_exact(&mut frame[FRAME_HEADER_LEN..]).unwrap();
     Message::decode_frame(&frame).unwrap()
 }
 
-/// A legacy v1 peer — no trace field in its frames — must still be served,
-/// and the reply must come back in v1 framing (no trace field, legacy
-/// Answer payload) so the old decoder can read it.
+/// Only the current protocol version is spoken. A peer sending a frame in
+/// any older version gets exactly one error frame — in current-version
+/// framing, naming the unsupported version — and is disconnected, while
+/// the server keeps answering current-version clients.
 #[test]
-fn legacy_v1_peer_is_still_served() {
-    use exq_core::codec::LEGACY_PROTOCOL_VERSION;
+fn pre_v5_peers_get_one_bad_version_error_then_close() {
     let (_, server) = hosted();
     let (handle, _shared) = start(server);
-    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    for version in 1..PROTOCOL_VERSION {
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut frame = Message::NaiveQuery.encode_frame();
+        frame[2] = version;
+        raw.write_all(&frame).unwrap();
+        raw.flush().unwrap();
 
-    let frame = Message::NaiveQuery.encode_frame_v(LEGACY_PROTOCOL_VERSION, 0);
-    raw.write_all(&frame).unwrap();
-    raw.flush().unwrap();
-
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    raw.read_exact(&mut header).unwrap();
-    let (version, msg_type, payload_len) = Message::parse_header(&header).unwrap();
-    assert_eq!(version, LEGACY_PROTOCOL_VERSION, "reply must echo v1");
-    assert_eq!(msg_type, 0x81, "expected an Answer frame");
-    let mut reply = header.to_vec();
-    reply.resize(FRAME_HEADER_LEN + payload_len, 0);
-    raw.read_exact(&mut reply[FRAME_HEADER_LEN..]).unwrap();
-    match Message::decode_frame(&reply).unwrap() {
-        Message::Answer(resp) => {
-            assert!(!resp.pruned_xml.is_empty() || !resp.blocks.is_empty());
-            assert!(resp.spans.is_empty(), "v1 answers carry no spans");
+        match read_frame(&mut raw) {
+            Message::Error(e) => assert!(
+                e.message
+                    .contains(&format!("unsupported protocol version {version}")),
+                "v{version}: {e:?}"
+            ),
+            other => panic!("v{version}: expected a BadVersion error, got {other:?}"),
         }
-        other => panic!("expected Answer, got {other:?}"),
+        let mut rest = [0u8; 1];
+        match raw.read(&mut rest) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("v{version}: connection must close after the error, got {other:?}"),
+        }
+
+        let mut tcp = TcpTransport::connect_default(handle.addr()).unwrap();
+        assert!(
+            tcp.send_naive().is_ok(),
+            "server stopped serving after v{version}"
+        );
     }
     handle.shutdown();
 }
